@@ -10,7 +10,6 @@
 //   ERMS_SCALE_FILES          files to ingest          (default 5000000)
 //   ERMS_SCALE_EVENTS         audit events to replay   (default 100000000)
 //   ERMS_SCALE_OUT            where to write the JSON  (default BENCH_scale.json)
-//   ERMS_SCALE_SHARDS         judge CEP engine shards  (default 1)
 //   ERMS_SCALE_SWEEP_THREADS  judge sweep threads      (default 1)
 //   ERMS_SNAPSHOT_EVERY       save a full world snapshot every N judge sweeps
 //                             (0 = off) and report snapshot size plus
@@ -128,7 +127,6 @@ int run() {
   ecfg.thresholds.tau_DN = 1e15;
   ecfg.manage_standby_power = false;
   ecfg.heal_capacity = false;
-  ecfg.judge_shards = std::max<std::uint64_t>(1, env_u64("ERMS_SCALE_SHARDS", 1));
   ecfg.sweep_threads = env_u64("ERMS_SCALE_SWEEP_THREADS", 1);
   core::ErmsManager erms{cluster, /*standby_pool=*/{}, ecfg};
 

@@ -5,8 +5,7 @@
 //
 // Two layers:
 //  * a custom ingest sweep comparing the ClassAd event path against the
-//    slotted path (with the compiled WHERE fast path on and off), plus a
-//    ShardedEngine sweep over shard counts × batch sizes, written to
+//    slotted path (with the compiled WHERE fast path on and off), written to
 //    BENCH_cep.json (override with ERMS_BENCH_OUT) so the numbers form a
 //    trajectory across PRs;
 //  * the usual google-benchmark timings.
@@ -23,17 +22,13 @@
 #include "audit/audit.h"
 #include "cep/engine.h"
 #include "cep/epl_parser.h"
-#include "cep/sharded_engine.h"
 
 namespace {
 
 using erms::audit::AuditEvent;
 using erms::audit::AuditSlots;
 using erms::cep::Engine;
-using erms::cep::EngineBase;
 using erms::cep::parse_epl;
-using erms::cep::ShardedEngine;
-using erms::cep::ShardedEngineOptions;
 using erms::cep::SlottedEvent;
 namespace sim = erms::sim;
 
@@ -48,7 +43,7 @@ AuditEvent make_event(int i) {
 }
 
 /// The exact standing-query set the Data Judge registers.
-void register_judge_queries(EngineBase& engine) {
+void register_judge_queries(Engine& engine) {
   engine.register_query(parse_epl(
       "SELECT count(*) AS n FROM audit WHERE cmd == \"open\" GROUP BY src WINDOW TIME 60s"));
   engine.register_query(parse_epl(
@@ -76,10 +71,10 @@ std::vector<AuditEvent> make_workload(int n) {
   return events;
 }
 
-/// Events/s of the slotted ingest path into `engine` (scalar or sharded).
-/// Two passes, best-of taken, to shed scheduler noise; the second pass also
-/// runs with warm window/group state, which is the steady-state shape.
-double slotted_rate(EngineBase& engine, const std::vector<AuditEvent>& events) {
+/// Events/s of the slotted ingest path into `engine`. Two passes, best-of
+/// taken, to shed scheduler noise; the second pass also runs with warm
+/// window/group state, which is the steady-state shape.
+double slotted_rate(Engine& engine, const std::vector<AuditEvent>& events) {
   const AuditSlots slots = AuditSlots::resolve(engine.attr_symbols(), engine.stream_symbols());
   SlottedEvent scratch;
   double best = 0.0;
@@ -91,7 +86,7 @@ double slotted_rate(EngineBase& engine, const std::vector<AuditEvent>& events) {
       scratch.time = e.time + epoch;  // keep times monotone across passes
       engine.push_slotted(scratch);
     }
-    engine.advance_to(events.back().time + epoch);  // drain pending batches
+    engine.advance_to(events.back().time + epoch);
     const double dt = now_seconds() - t0;
     best = std::max(best, static_cast<double>(events.size()) / dt);
     epoch = epoch + (events.back().time - sim::SimTime{0}) + sim::seconds(1.0);
@@ -99,8 +94,8 @@ double slotted_rate(EngineBase& engine, const std::vector<AuditEvent>& events) {
   return best;
 }
 
-/// Events/s of the legacy path: ClassAd events through EngineBase::push.
-double classad_rate(EngineBase& engine, const std::vector<AuditEvent>& events) {
+/// Events/s of the legacy path: ClassAd events through Engine::push.
+double classad_rate(Engine& engine, const std::vector<AuditEvent>& events) {
   std::vector<erms::cep::Event> converted;
   converted.reserve(events.size());
   for (const AuditEvent& e : events) {
@@ -165,24 +160,6 @@ void ingest_sweep(std::FILE* json) {
                "\"slotted_classad_where\": %.0f, \"slotted_compiled\": %.0f},\n",
                std::thread::hardware_concurrency(), classad_path, slotted_fallback,
                slotted_compiled);
-
-  std::fprintf(json, "  \"sharded_compiled\": {");
-  const int shard_counts[] = {1, 2, 4, 8};
-  const std::size_t batch_sizes[] = {64, 256, 1024};
-  for (std::size_t si = 0; si < 4; ++si) {
-    std::fprintf(json, "%s\"s%d\": {", si == 0 ? "" : ", ", shard_counts[si]);
-    for (std::size_t bi = 0; bi < 3; ++bi) {
-      ShardedEngineOptions opts;
-      opts.shards = static_cast<std::size_t>(shard_counts[si]);
-      opts.batch_events = batch_sizes[bi];
-      ShardedEngine engine(opts);
-      register_judge_queries(engine);
-      const double rate = slotted_rate(engine, large);
-      std::fprintf(json, "%s\"b%zu\": %.0f", bi == 0 ? "" : ", ", batch_sizes[bi], rate);
-    }
-    std::fprintf(json, "}");
-  }
-  std::fprintf(json, "},\n");
 
   {
     const std::string line = make_event(7).to_line();

@@ -86,29 +86,11 @@ void split_key_into(const std::string& key, std::size_t parts,
 
 }  // namespace
 
-Engine::Engine()
-    : Engine(std::make_shared<SymbolTable>(/*fold_case=*/true),
-             std::make_shared<SymbolTable>(/*fold_case=*/false)) {}
-
-Engine::Engine(std::shared_ptr<SymbolTable> attrs, std::shared_ptr<SymbolTable> streams)
-    : attrs_(std::move(attrs)), streams_(std::move(streams)) {}
-
-std::string Engine::join_key(const std::vector<std::string>& parts) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) {
-      out += '\x1f';
-    }
-    out += parts[i];
-  }
-  return out;
-}
-
 QueryId Engine::register_query(Query query, Listener listener) {
   const QueryId id = ids_.next();
   QueryState qs;
   qs.id = id;
-  qs.plan = CompiledQuery::compile(query, *attrs_, *streams_);
+  qs.plan = CompiledQuery::compile(query, attrs_, streams_);
   qs.query = std::move(query);
   qs.listener = std::move(listener);
   queries_.push_back(std::move(qs));
@@ -143,11 +125,6 @@ const Engine::QueryState* Engine::find_query(QueryId id) const {
   return nullptr;
 }
 
-const Query* Engine::query(QueryId id) const {
-  const QueryState* qs = find_query(id);
-  return qs == nullptr ? nullptr : &qs->query;
-}
-
 bool Engine::event_matches(QueryState& qs, const SlottedEvent& e) {
   const CompiledQuery& plan = qs.plan;
   if (plan.stream != kNoSlot && plan.stream != e.stream) {
@@ -166,7 +143,7 @@ bool Engine::event_matches(QueryState& qs, const SlottedEvent& e) {
   }
   // Compatibility adapter: rebuild a ClassAd view and run the expression.
   classad::ClassAd ad;
-  to_classad(e, *attrs_, ad);
+  to_classad(e, attrs_, ad);
   const classad::Value v = ad.evaluate_expr(*qs.query.where);
   return v.is_bool() && v.as_bool();
 }
@@ -420,7 +397,7 @@ void Engine::notify(QueryState& qs, std::uint32_t slot) {
   if (g.count == 0) {
     return;  // the group was fully evicted by a LENGTH window before notify
   }
-  const ResultRow row = render_row(qs.query, export_group(qs, g));
+  const ResultRow row = render_row(qs, g);
   if (qs.query.having) {
     const classad::Value v = row.values.evaluate_expr(*qs.query.having);
     if (!v.is_bool() || !v.as_bool()) {
@@ -554,10 +531,10 @@ void Engine::push_batch_query(QueryState& qs, const EventBatch& batch) {
 }
 
 void Engine::push(const Event& event) {
-  convert_scratch_.reset(event.time, streams_->intern(event.type));
+  convert_scratch_.reset(event.time, streams_.intern(event.type));
   for (const std::string& name : event.attrs.attribute_names()) {
     const classad::Value v = event.attrs.evaluate(name);
-    const Slot slot = attrs_->intern(name);
+    const Slot slot = attrs_.intern(name);
     switch (v.type()) {
       case classad::Value::Type::kBool:
         convert_scratch_.set_bool(slot, v.as_bool());
@@ -584,52 +561,32 @@ void Engine::advance_to(sim::SimTime now) {
   }
 }
 
-Engine::RawGroup Engine::export_group(const QueryState& qs, const GroupState& g) const {
-  RawGroup out;
-  out.key = g.key;
-  out.key_values = g.key_values;
-  out.count = g.count;
-  out.aggs.resize(qs.query.select.size());
-  for (std::size_t i = 0; i < qs.query.select.size(); ++i) {
-    const std::int32_t ni = qs.plan.agg_numeric_index[i];
-    if (ni < 0) {
-      continue;
-    }
-    RawAggregate& agg = out.aggs[i];
-    agg.sum = g.sums[ni];
-    agg.non_null = g.non_null[ni];
-    if (qs.plan.agg_is_minmax[i] && !g.mono[ni].empty()) {
-      agg.extreme = g.mono[ni].front().value;
-      agg.has_extreme = true;
-    }
-  }
-  return out;
-}
-
-ResultRow Engine::render_row(const Query& q, const RawGroup& g) {
+ResultRow Engine::render_row(const QueryState& qs, const GroupState& g) {
+  const Query& q = qs.query;
   ResultRow row;
   for (std::size_t i = 0; i < q.group_by.size(); ++i) {
     row.values.insert_string(q.group_by[i], g.key_values[i]);
   }
   for (std::size_t i = 0; i < q.select.size(); ++i) {
     const Aggregate& agg = q.select[i];
+    const std::int32_t ni = qs.plan.agg_numeric_index[i];
     switch (agg.kind) {
       case Aggregate::Kind::kCount:
         row.values.insert_int(agg.alias, static_cast<std::int64_t>(g.count));
         break;
       case Aggregate::Kind::kSum:
-        row.values.insert_real(agg.alias, g.aggs[i].sum);
+        row.values.insert_real(agg.alias, g.sums[ni]);
         break;
       case Aggregate::Kind::kAvg:
-        if (g.aggs[i].non_null > 0) {
+        if (g.non_null[ni] > 0) {
           row.values.insert_real(agg.alias,
-                                 g.aggs[i].sum / static_cast<double>(g.aggs[i].non_null));
+                                 g.sums[ni] / static_cast<double>(g.non_null[ni]));
         }
         break;
       case Aggregate::Kind::kMin:
       case Aggregate::Kind::kMax:
-        if (g.aggs[i].has_extreme) {
-          row.values.insert_real(agg.alias, g.aggs[i].extreme);
+        if (!g.mono[ni].empty()) {
+          row.values.insert_real(agg.alias, g.mono[ni].front().value);
         }
         break;
     }
@@ -637,33 +594,20 @@ ResultRow Engine::render_row(const Query& q, const RawGroup& g) {
   return row;
 }
 
-std::vector<Engine::RawGroup> Engine::raw_snapshot(QueryId id) const {
-  std::vector<RawGroup> out;
-  const QueryState* qs = find_query(id);
-  if (qs == nullptr) {
-    return out;
-  }
-  out.reserve(qs->live_groups);
-  for (const GroupState& g : qs->slots) {
+template <typename Fn>
+void Engine::for_each_sorted_group(const QueryState& qs, Fn&& fn) {
+  visit_scratch_.clear();
+  visit_scratch_.reserve(qs.live_groups);
+  for (const GroupState& g : qs.slots) {
     if (g.count > 0) {
-      out.push_back(export_group(*qs, g));
+      visit_scratch_.push_back(&g);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const RawGroup& a, const RawGroup& b) { return a.key < b.key; });
-  return out;
-}
-
-std::optional<Engine::RawGroup> Engine::raw_group(QueryId id, const std::string& key) const {
-  const QueryState* qs = find_query(id);
-  if (qs == nullptr) {
-    return std::nullopt;
+  std::sort(visit_scratch_.begin(), visit_scratch_.end(),
+            [](const GroupState* a, const GroupState* b) { return a->key < b->key; });
+  for (const GroupState* g : visit_scratch_) {
+    fn(*g);
   }
-  const std::uint32_t slot = find_slot(*qs, key);
-  if (slot == kEmptyBucket) {
-    return std::nullopt;
-  }
-  return export_group(*qs, qs->slots[slot]);
 }
 
 std::vector<ResultRow> Engine::snapshot(QueryId id) {
@@ -672,11 +616,8 @@ std::vector<ResultRow> Engine::snapshot(QueryId id) {
   if (qs == nullptr) {
     return out;
   }
-  std::vector<RawGroup> raw = raw_snapshot(id);
-  out.reserve(raw.size());
-  for (const RawGroup& g : raw) {
-    out.push_back(render_row(qs->query, g));
-  }
+  out.reserve(qs->live_groups);
+  for_each_sorted_group(*qs, [&](const GroupState& g) { out.push_back(render_row(*qs, g)); });
   return out;
 }
 
@@ -696,19 +637,7 @@ void Engine::for_each_group_count(QueryId id, const GroupCountVisitor& fn,
     }
     return;
   }
-  // Sort by joined key so scalar and sharded iteration agree exactly.
-  visit_scratch_.clear();
-  visit_scratch_.reserve(qs->live_groups);
-  for (const GroupState& g : qs->slots) {
-    if (g.count > 0) {
-      visit_scratch_.push_back(&g);
-    }
-  }
-  std::sort(visit_scratch_.begin(), visit_scratch_.end(),
-            [](const GroupState* a, const GroupState* b) { return a->key < b->key; });
-  for (const GroupState* g : visit_scratch_) {
-    fn(g->key_values, g->count);
-  }
+  for_each_sorted_group(*qs, [&](const GroupState& g) { fn(g.key_values, g.count); });
 }
 
 std::optional<ResultRow> Engine::group_row(QueryId id, const std::vector<std::string>& key) {
@@ -716,11 +645,18 @@ std::optional<ResultRow> Engine::group_row(QueryId id, const std::vector<std::st
   if (qs == nullptr) {
     return std::nullopt;
   }
-  const auto raw = raw_group(id, join_key(key));
-  if (!raw) {
+  group_key_buf_.clear();
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    if (i != 0) {
+      group_key_buf_ += '\x1f';
+    }
+    group_key_buf_ += key[i];
+  }
+  const std::uint32_t slot = find_slot(*qs, group_key_buf_);
+  if (slot == kEmptyBucket) {
     return std::nullopt;
   }
-  return render_row(qs->query, *raw);
+  return render_row(*qs, qs->slots[slot]);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,86 +25,11 @@ struct QueryTag {};
 using QueryId = util::StrongId<QueryTag>;
 
 /// Iteration order for group visitation. kSorted visits groups in joined-key
-/// order — identical between the scalar and sharded engines, for consumers
-/// whose behaviour depends on visit order. kUnordered visits in whatever
-/// order the engine stores groups (deterministic for a given event history,
-/// but engine-specific), skipping the per-visit sort — the right choice for
-/// consumers that scatter counts into dense arrays.
+/// order, for consumers whose behaviour depends on visit order. kUnordered
+/// visits in slot-pool order (deterministic for a given event history),
+/// skipping the per-visit sort — the right choice for consumers that scatter
+/// counts into dense arrays.
 enum class GroupOrder : std::uint8_t { kSorted, kUnordered };
-
-/// Interface shared by the scalar Engine and the ShardedEngine so consumers
-/// (the Data Judge's feed, ErmsManager) can be wired to either. Methods are
-/// non-const because a sharded implementation must drain pending batches
-/// before answering reads.
-class EngineBase {
- public:
-  /// Called whenever a group's row satisfies HAVING after an update. Rows
-  /// are also readable at any time via snapshot().
-  using Listener = std::function<void(const ResultRow&)>;
-
-  virtual ~EngineBase() = default;
-
-  /// Register a continuous query; the listener may be null (poll-only).
-  virtual QueryId register_query(Query query, Listener listener) = 0;
-  QueryId register_query(Query query) { return register_query(std::move(query), nullptr); }
-
-  /// Remove a query and its state. Returns false if unknown.
-  virtual bool remove_query(QueryId id) = 0;
-
-  /// Push one event into every matching query (compatibility path: converts
-  /// to slotted form first).
-  virtual void push(const Event& event) = 0;
-
-  /// Push a slotted event. The event is consumed during the call (or copied
-  /// into a pending batch); callers may reuse it immediately.
-  virtual void push_slotted(const SlottedEvent& event) = 0;
-
-  /// Push a whole batch of slotted events, equivalent to push_slotted on
-  /// each in order. Engines may reorder work internally (e.g. processing the
-  /// batch query-major) as long as every query's resulting state matches the
-  /// per-event path; only listener firing order may differ within a batch.
-  virtual void push_batch(const EventBatch& batch) = 0;
-
-  /// Advance time without an event: evict expired window entries (time
-  /// windows only). Judges call this before reading snapshots.
-  virtual void advance_to(sim::SimTime now) = 0;
-
-  /// Current result rows of a query (one per group), in group-key order.
-  [[nodiscard]] virtual std::vector<ResultRow> snapshot(QueryId id) = 0;
-
-  /// A single group's row, if that group currently exists. `key` holds the
-  /// group-by attribute values rendered as strings, in group-by order.
-  [[nodiscard]] virtual std::optional<ResultRow> group_row(
-      QueryId id, const std::vector<std::string>& key) = 0;
-
-  /// Visit every group of `id` as (group-by values, window event count).
-  /// Unlike snapshot(), this renders no rows and allocates no ClassAds.
-  using GroupCountVisitor =
-      std::function<void(const std::vector<std::string>& key_values, std::uint64_t count)>;
-  virtual void for_each_group_count(QueryId id, const GroupCountVisitor& fn,
-                                    GroupOrder order) = 0;
-  void for_each_group_count(QueryId id, const GroupCountVisitor& fn) {
-    for_each_group_count(id, fn, GroupOrder::kSorted);
-  }
-
-  [[nodiscard]] virtual std::size_t query_count() const = 0;
-  [[nodiscard]] virtual std::uint64_t events_processed() const = 0;
-
-  /// The engine's attribute / stream interners. Producers resolve their
-  /// attribute slots once (e.g. audit::AuditSlots) and then fill slotted
-  /// events with no string handling at all.
-  [[nodiscard]] virtual SymbolTable& attr_symbols() = 0;
-  [[nodiscard]] virtual SymbolTable& stream_symbols() = 0;
-
-  /// Snapshot support (src/snapshot/): serialise / restore all window and
-  /// group state. load_state expects an engine with the identical query set
-  /// already registered (the feed re-registers its standing queries at
-  /// construction) and fails the Reader with kStateMismatch otherwise.
-  /// Aggregate running sums are stored as raw double bit patterns, so a
-  /// restored engine renders byte-identical rows.
-  virtual void save_state(snapshot::Writer& w) = 0;
-  virtual void load_state(snapshot::Reader& r) = 0;
-};
 
 /// The CEP engine: continuous queries over pushed event streams with sliding
 /// windows, group-by aggregation and HAVING-triggered listeners. ERMS feeds
@@ -122,64 +46,73 @@ class EngineBase {
 /// the pool reaches the window's working-set size. Windows hold only the
 /// per-entry aggregate inputs in flat ring buffers (not event copies), and
 /// min/max use monotonic deques instead of multisets.
-class Engine final : public EngineBase {
+class Engine {
  public:
-  Engine();
-  /// Construct with shared symbol tables (ShardedEngine gives every shard
-  /// the same tables so slots agree across shards).
-  Engine(std::shared_ptr<SymbolTable> attrs, std::shared_ptr<SymbolTable> streams);
+  /// Called whenever a group's row satisfies HAVING after an update. Rows
+  /// are also readable at any time via snapshot().
+  using Listener = std::function<void(const ResultRow&)>;
 
-  using EngineBase::register_query;
-  using EngineBase::for_each_group_count;
-  QueryId register_query(Query query, Listener listener) override;
-  bool remove_query(QueryId id) override;
-  void push(const Event& event) override;
-  void push_slotted(const SlottedEvent& event) override;
-  void push_batch(const EventBatch& batch) override;
-  void advance_to(sim::SimTime now) override;
-  [[nodiscard]] std::vector<ResultRow> snapshot(QueryId id) override;
-  [[nodiscard]] std::optional<ResultRow> group_row(
-      QueryId id, const std::vector<std::string>& key) override;
+  /// Register a continuous query; the listener may be null (poll-only).
+  QueryId register_query(Query query, Listener listener = nullptr);
+
+  /// Remove a query and its state. Returns false if unknown.
+  bool remove_query(QueryId id);
+
+  /// Push one event into every matching query (compatibility path: converts
+  /// to slotted form first).
+  void push(const Event& event);
+
+  /// Push a slotted event. The event is consumed during the call; callers
+  /// may reuse it immediately.
+  void push_slotted(const SlottedEvent& event);
+
+  /// Push a whole batch of slotted events, equivalent to push_slotted on
+  /// each in order. The batch runs query-major, so every query's resulting
+  /// state matches the per-event path; only listener firing order may differ
+  /// within a batch.
+  void push_batch(const EventBatch& batch);
+
+  /// Advance time without an event: evict expired window entries (time
+  /// windows only). Judges call this before reading snapshots.
+  void advance_to(sim::SimTime now);
+
+  /// Current result rows of a query (one per group), in group-key order.
+  [[nodiscard]] std::vector<ResultRow> snapshot(QueryId id);
+
+  /// A single group's row, if that group currently exists. `key` holds the
+  /// group-by attribute values rendered as strings, in group-by order.
+  [[nodiscard]] std::optional<ResultRow> group_row(QueryId id,
+                                                   const std::vector<std::string>& key);
+
+  /// Visit every group of `id` as (group-by values, window event count).
+  /// Unlike snapshot(), this renders no rows and allocates no ClassAds.
+  using GroupCountVisitor =
+      std::function<void(const std::vector<std::string>& key_values, std::uint64_t count)>;
   void for_each_group_count(QueryId id, const GroupCountVisitor& fn,
-                            GroupOrder order) override;
-  [[nodiscard]] std::size_t query_count() const override { return queries_.size(); }
-  [[nodiscard]] std::uint64_t events_processed() const override { return events_processed_; }
-  [[nodiscard]] SymbolTable& attr_symbols() override { return *attrs_; }
-  [[nodiscard]] SymbolTable& stream_symbols() override { return *streams_; }
-  void save_state(snapshot::Writer& w) override;
-  void load_state(snapshot::Reader& r) override;
+                            GroupOrder order = GroupOrder::kSorted);
+
+  [[nodiscard]] std::size_t query_count() const { return queries_.size(); }
+  [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
+
+  /// The engine's attribute / stream interners. Producers resolve their
+  /// attribute slots once (e.g. audit::AuditSlots) and then fill slotted
+  /// events with no string handling at all.
+  [[nodiscard]] SymbolTable& attr_symbols() { return attrs_; }
+  [[nodiscard]] SymbolTable& stream_symbols() { return streams_; }
+
+  /// Snapshot support (src/snapshot/): serialise / restore all window and
+  /// group state. load_state expects an engine with the identical query set
+  /// already registered (the feed re-registers its standing queries at
+  /// construction) and fails the Reader with kStateMismatch otherwise.
+  /// Aggregate running sums are stored as raw double bit patterns, so a
+  /// restored engine renders byte-identical rows.
+  void save_state(snapshot::Writer& w);
+  void load_state(snapshot::Reader& r);
 
   /// Force WHERE evaluation through the ClassAd adapter even when a fast
   /// plan exists — the differential tests prove both paths byte-identical.
   void set_use_fast_path(bool on) { use_fast_path_ = on; }
   [[nodiscard]] bool use_fast_path() const { return use_fast_path_; }
-
-  /// Raw (pre-rendering) aggregate state, exported so ShardedEngine can
-  /// merge groups that span shards before rendering rows.
-  struct RawAggregate {
-    double sum{0.0};
-    std::uint64_t non_null{0};
-    double extreme{0.0};  // current min or max, valid when has_extreme
-    bool has_extreme{false};
-  };
-  struct RawGroup {
-    std::string key;  // group-by values joined with '\x1f'
-    std::vector<std::string> key_values;
-    std::uint64_t count{0};
-    std::vector<RawAggregate> aggs;  // parallel to Query::select
-  };
-
-  /// All groups of a query in key order (empty if unknown query).
-  [[nodiscard]] std::vector<RawGroup> raw_snapshot(QueryId id) const;
-  /// One group by joined key, if present.
-  [[nodiscard]] std::optional<RawGroup> raw_group(QueryId id, const std::string& key) const;
-  /// The registered query, or nullptr.
-  [[nodiscard]] const Query* query(QueryId id) const;
-
-  /// Render a merged raw group the same way snapshot() renders rows.
-  [[nodiscard]] static ResultRow render_row(const Query& q, const RawGroup& g);
-
-  static std::string join_key(const std::vector<std::string>& parts);
 
  private:
   /// One min/max candidate in a group's monotonic deque.
@@ -255,10 +188,14 @@ class Engine final : public EngineBase {
   /// is applied in event order — byte-identical state to push_one per event.
   void push_batch_query(QueryState& qs, const EventBatch& batch);
   void notify(QueryState& qs, std::uint32_t slot);
-  [[nodiscard]] RawGroup export_group(const QueryState& qs, const GroupState& g) const;
+  /// Render one group as a result row: group-by values, then aggregates.
+  [[nodiscard]] static ResultRow render_row(const QueryState& qs, const GroupState& g);
+  /// Call fn(const GroupState&) for every live group, in joined-key order.
+  template <typename Fn>
+  void for_each_sorted_group(const QueryState& qs, Fn&& fn);
 
-  std::shared_ptr<SymbolTable> attrs_;
-  std::shared_ptr<SymbolTable> streams_;
+  SymbolTable attrs_{/*fold_case=*/true};
+  SymbolTable streams_{/*fold_case=*/false};
   std::vector<QueryState> queries_;
   util::IdGenerator<QueryId> ids_{1};
   std::uint64_t events_processed_{0};
@@ -273,7 +210,7 @@ class Engine final : public EngineBase {
     bool matched{false};
   };
 
-  std::string group_key_buf_;     // scratch for build_group_key
+  std::string group_key_buf_;     // scratch for build_group_key / group_row
   SlottedEvent convert_scratch_;  // scratch for push(const Event&)
   std::vector<const GroupState*> visit_scratch_;  // sorted visitation scratch
   std::array<PipeSlot, kPipeDepth> pipe_;         // push_batch_query scratch

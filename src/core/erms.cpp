@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "snapshot/codec.h"
@@ -39,31 +40,26 @@ obs::ActionKind action_kind_for(const std::string& cmd) {
   return obs::ActionKind::kDecode;
 }
 
-std::unique_ptr<cep::EngineBase> make_judge_engine(const ErmsConfig& config) {
-  if (config.judge_shards == 1) {
-    return std::make_unique<cep::Engine>();
+/// Reject config values the manager cannot honour, before any member (thread
+/// pools, cluster hooks) is built.
+const ErmsConfig& checked(const ErmsConfig& config) {
+  if (config.judge_shards != 1) {
+    throw std::invalid_argument("ErmsConfig::judge_shards must be 1 (got " +
+                                std::to_string(config.judge_shards) + ")");
   }
-  cep::ShardedEngineOptions opts;
-  opts.shards = config.judge_shards;
-  opts.batch_events = config.judge_batch_events;
-  // Route by the interned file id: all four standing queries group by fid
-  // (or by dn, which every shard can answer after the merge), so same-file
-  // events land on one shard and the merge stays cheap.
-  opts.route_by = "fid";
-  return std::make_unique<cep::ShardedEngine>(opts);
+  return config;
 }
 }  // namespace
 
 ErmsManager::ErmsManager(hdfs::Cluster& cluster, std::vector<hdfs::NodeId> standby_pool,
                          ErmsConfig config, util::Logger& logger)
     : cluster_(cluster),
-      config_(config),
+      config_(checked(config)),
       log_(logger),
       codec_pool_(config.codec_threads),
       codec_(std::max<std::size_t>(1, config.data_shards),
              std::max<std::uint32_t>(1, config.parity_count)),
-      engine_(make_judge_engine(config)),
-      feed_(*engine_, config.thresholds.window),
+      feed_(engine_, config.thresholds.window),
       judge_(config.thresholds),
       standby_(cluster, standby_pool),
       scheduler_(cluster.simulation(),
@@ -126,6 +122,29 @@ ErmsManager::~ErmsManager() {
 }
 
 void ErmsManager::start() {
+  attach();
+  advertise_nodes();
+  if (running_) {
+    return;
+  }
+  running_ = true;
+  schedule_tick_at(cluster_.simulation().now() + config_.evaluation_period);
+}
+
+void ErmsManager::resume() {
+  // Same wiring as start(), with two deliberate differences: machine ads are
+  // NOT re-advertised (the restored ads are exactly as stale as the original
+  // run's were at this point), and the next evaluation fires at the restored
+  // absolute tick time rather than one period from now.
+  attach();
+  if (running_) {
+    return;
+  }
+  running_ = true;
+  schedule_tick_at(next_tick_time_);
+}
+
+void ErmsManager::attach() {
   cluster_.set_placement_policy(placement_);
   if (config_.judge_batch_flush_events > 0) {
     cluster_.set_audit_batch_sink(
@@ -150,7 +169,8 @@ void ErmsManager::start() {
   if (config_.auto_calibrate) {
     // τ_M is "the largest access number one data replica could hold" —
     // bounded by the datanodes' serving-session capacity (what Fig. 8
-    // measures empirically on real hardware).
+    // measures empirically on real hardware). max_sessions is static node
+    // config, so resume() reproduces the τ_M the original start() derived.
     double sessions = 0.0;
     std::size_t nodes = 0;
     for (const hdfs::NodeId n : cluster_.nodes()) {
@@ -161,70 +181,16 @@ void ErmsManager::start() {
       judge_.calibrate(sessions / static_cast<double>(nodes));
     }
   }
-  advertise_nodes();
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  schedule_tick();
 }
 
-void ErmsManager::schedule_tick() {
-  next_tick_time_ = cluster_.simulation().now() + config_.evaluation_period;
+void ErmsManager::schedule_tick_at(sim::SimTime at) {
+  next_tick_time_ = at;
   tick_ = cluster_.simulation().schedule_at(next_tick_time_, [this] {
     if (!running_) {
       return;
     }
     evaluate();
-    schedule_tick();
-  });
-}
-
-void ErmsManager::resume() {
-  // Same wiring as start(), with two deliberate differences: machine ads are
-  // NOT re-advertised (the restored ads are exactly as stale as the original
-  // run's were at this point), and the next evaluation fires at the restored
-  // absolute tick time rather than one period from now.
-  cluster_.set_placement_policy(placement_);
-  if (config_.judge_batch_flush_events > 0) {
-    cluster_.set_audit_batch_sink(
-        [this](const audit::AuditEvent* events, std::size_t n) {
-          feed_.on_audit_batch(events, n);
-        },
-        config_.judge_batch_flush_events);
-  } else {
-    cluster_.set_audit_sink([this](const audit::AuditEvent& e) { feed_.on_audit(e); });
-  }
-  cluster_.set_failure_listener([this](hdfs::NodeId n) {
-    scheduler_.invalidate("dn" + std::to_string(n.value()));
-    if (config_.heal_capacity) {
-      standby_.ensure_commissioned(standby_.commissioned_count() + 1,
-                                   [this] { advertise_nodes(); });
-    }
-  });
-  if (config_.auto_calibrate) {
-    // Deterministic recomputation: max_sessions is static node config, so
-    // this reproduces the τ_M the original start() derived.
-    double sessions = 0.0;
-    std::size_t nodes = 0;
-    for (const hdfs::NodeId n : cluster_.nodes()) {
-      sessions += cluster_.node(n).config.max_sessions;
-      ++nodes;
-    }
-    if (nodes > 0) {
-      judge_.calibrate(sessions / static_cast<double>(nodes));
-    }
-  }
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  tick_ = cluster_.simulation().schedule_at(next_tick_time_, [this] {
-    if (!running_) {
-      return;
-    }
-    evaluate();
-    schedule_tick();
+    schedule_tick_at(cluster_.simulation().now() + config_.evaluation_period);
   });
 }
 
@@ -978,7 +944,7 @@ obs::TraceEvent load_trace_event(snapshot::Reader& r) {
 }  // namespace
 
 void ErmsManager::save_state(snapshot::Writer& w) {
-  engine_->save_state(w);
+  engine_.save_state(w);
   feed_.save_state(w);
   w.u8(predictor_.has_value() ? 1 : 0);
   if (predictor_) {
@@ -1043,7 +1009,7 @@ void ErmsManager::save_state(snapshot::Writer& w) {
 }
 
 void ErmsManager::load_state(snapshot::Reader& r) {
-  engine_->load_state(r);
+  engine_.load_state(r);
   feed_.load_state(r);
   const bool had_predictor = r.u8() != 0;
   if (!r.require(had_predictor == predictor_.has_value(), "predictor config")) return;

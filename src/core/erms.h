@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cep/engine.h"
-#include "cep/sharded_engine.h"
 #include "condor/scheduler.h"
 #include "core/erms_placement.h"
 #include "core/standby.h"
@@ -79,12 +78,10 @@ struct ErmsConfig {
   /// always use observed counts.
   bool predictive = false;
   judge::AccessPredictor::Config predictor;
-  /// CEP engine shards behind the Data Judge's feed. 1 = the scalar engine;
-  /// >1 = a ShardedEngine routing audit events by src hash; 0 = one shard
-  /// per hardware thread.
+  /// Compatibility field with no effect: the Data Judge runs one CEP engine.
+  /// The ErmsManager constructor throws std::invalid_argument for any value
+  /// other than 1.
   std::size_t judge_shards = 1;
-  /// Events buffered per shard flush when judge_shards != 1.
-  std::size_t judge_batch_events = 256;
   /// When nonzero, the manager installs the cluster's *batched* audit sink:
   /// emitted records accumulate in a reused buffer and reach the judge's
   /// feed as spans of this many events (one engine dispatch per span)
@@ -140,6 +137,7 @@ struct ErmsStats {
 /// nodes (paper Fig. 1's architecture).
 class ErmsManager {
  public:
+  /// Throws std::invalid_argument when config.judge_shards is not 1.
   ErmsManager(hdfs::Cluster& cluster, std::vector<hdfs::NodeId> standby_pool,
               ErmsConfig config = {},
               util::Logger& logger = util::Logger::null_logger());
@@ -168,7 +166,7 @@ class ErmsManager {
   [[nodiscard]] judge::DataJudge& data_judge() { return judge_; }
   [[nodiscard]] StandbyManager& standby() { return standby_; }
   [[nodiscard]] condor::Scheduler& scheduler() { return scheduler_; }
-  [[nodiscard]] cep::EngineBase& cep_engine() { return *engine_; }
+  [[nodiscard]] cep::Engine& cep_engine() { return engine_; }
   [[nodiscard]] judge::AccessStatsFeed& feed() { return feed_; }
   [[nodiscard]] const ErmsConfig& config() const { return config_; }
 
@@ -253,7 +251,13 @@ class ErmsManager {
     std::uint64_t reads{0};
   };
 
-  void schedule_tick();
+  /// Install the placement policy, audit sink and failure listener, and
+  /// derive τ_M when auto_calibrate is set: the wiring start() and resume()
+  /// share.
+  void attach();
+  /// Schedule the next evaluation at `at`; each tick re-arms one
+  /// evaluation_period later.
+  void schedule_tick_at(sim::SimTime at);
   void register_executors();
   void advertise_nodes();
   /// Classify every existing file with id in [begin, end), writing only
@@ -290,7 +294,7 @@ class ErmsManager {
   std::unique_ptr<obs::Observability> obs_;
   util::ThreadPool codec_pool_;
   ec::StripeCodec codec_;
-  std::unique_ptr<cep::EngineBase> engine_;  // scalar or sharded per config
+  cep::Engine engine_;
   judge::AccessStatsFeed feed_;
   judge::DataJudge judge_;
   std::optional<judge::AccessPredictor> predictor_;

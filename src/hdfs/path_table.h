@@ -25,9 +25,9 @@ namespace erms::hdfs {
 /// deletes rare relative to the metadata they free, so reclaiming them is
 /// not worth the pointer invalidation it would cause).
 ///
-/// The index is sharded by path hash the way `cep::ShardedEngine` shards by
-/// routing attribute: each shard has its own mutex, index map and arena, so
-/// bulk ingest can intern from many threads without a global lock. Shard
+/// The index is sharded by path hash: each shard has its own mutex, index
+/// map and arena, so bulk ingest can intern from many threads without a
+/// global lock. Shard
 /// count never affects observable behaviour — ids are assigned by the
 /// caller (`Namespace`'s serial generator), the table only stores them.
 class PathTable {

@@ -31,7 +31,7 @@ std::int64_t parse_i64(const std::string& key) {
 
 }  // namespace
 
-AccessStatsFeed::AccessStatsFeed(cep::EngineBase& engine, sim::SimDuration window)
+AccessStatsFeed::AccessStatsFeed(cep::Engine& engine, sim::SimDuration window)
     : engine_(engine),
       // The judge's standing queries, written in the engine's EPL. All
       // grouping is by the interned fid — a short decimal key — instead of
@@ -50,7 +50,7 @@ AccessStatsFeed::AccessStatsFeed(cep::EngineBase& engine, sim::SimDuration windo
           window_clause(window)))),
       slots_(audit::AuditSlots::resolve(engine.attr_symbols(), engine.stream_symbols())) {}
 
-void AccessStatsFeed::on_audit(const audit::AuditEvent& event) {
+void AccessStatsFeed::note_access(const audit::AuditEvent& event) {
   ++events_ingested_;
   if (event.fid > 0 && (event.cmd == "open" || event.cmd == "read")) {
     const auto idx = static_cast<std::size_t>(event.fid);
@@ -59,6 +59,10 @@ void AccessStatsFeed::on_audit(const audit::AuditEvent& event) {
     }
     last_access_[idx] = event.time;
   }
+}
+
+void AccessStatsFeed::on_audit(const audit::AuditEvent& event) {
+  note_access(event);
   event.to_slotted(slots_, scratch_);
   engine_.push_slotted(scratch_);
 }
@@ -75,14 +79,7 @@ void AccessStatsFeed::on_audit_batch(const audit::AuditEvent* events, std::size_
     batch_.clear();  // keeps the slotted events' capacity for reuse
     for (std::size_t i = 0; i < n; ++i) {
       const audit::AuditEvent& event = events[base + i];
-      ++events_ingested_;
-      if (event.fid > 0 && (event.cmd == "open" || event.cmd == "read")) {
-        const auto idx = static_cast<std::size_t>(event.fid);
-        if (last_access_.size() <= idx) {
-          last_access_.resize(idx + 1);
-        }
-        last_access_[idx] = event.time;
-      }
+      note_access(event);
       event.to_slotted(slots_, batch_.emplace_back());
     }
     engine_.push_batch(batch_);

@@ -28,9 +28,8 @@ namespace erms::judge {
 /// materialising a fresh map per judge sweep.
 class AccessStatsFeed {
  public:
-  /// Works against any EngineBase — the scalar Engine or a ShardedEngine
-  /// (the manager picks based on ErmsConfig::judge_shards).
-  AccessStatsFeed(cep::EngineBase& engine, sim::SimDuration window);
+  /// Registers the standing queries on `engine`, which must outlive the feed.
+  AccessStatsFeed(cep::Engine& engine, sim::SimDuration window);
 
   /// Consume one audit record (wire this to Cluster::set_audit_sink).
   /// Records without a `fid` still flow to the engine but carry no
@@ -38,9 +37,8 @@ class AccessStatsFeed {
   void on_audit(const audit::AuditEvent& event);
 
   /// Consume a span of audit records, equivalent to on_audit on each in
-  /// order. The span is converted into a reusable cep::EventBatch and handed
-  /// to the engine whole — one virtual dispatch per batch, and a sharded
-  /// engine splits it straight into per-shard batches (wire this to
+  /// order. The span is converted into reusable cep::EventBatch chunks that
+  /// the engine runs query-major (wire this to
   /// Cluster::set_audit_batch_sink).
   void on_audit_batch(const audit::AuditEvent* events, std::size_t count);
 
@@ -51,9 +49,9 @@ class AccessStatsFeed {
   [[nodiscard]] std::uint64_t file_accesses(hdfs::FileId file) const;
 
   /// Visit every (file, N_d) with open activity in the window. kSorted
-  /// visits in group-key order (identical for scalar and sharded engines);
-  /// kUnordered skips the per-visit sort for consumers that scatter into
-  /// dense arrays. No per-sweep map is built either way.
+  /// visits in group-key order; kUnordered skips the per-visit sort for
+  /// consumers that scatter into dense arrays. No per-sweep map is built
+  /// either way.
   void for_each_file_access(
       const std::function<void(hdfs::FileId, std::uint64_t)>& fn,
       cep::GroupOrder order = cep::GroupOrder::kSorted) const;
@@ -96,7 +94,10 @@ class AccessStatsFeed {
   void load_state(snapshot::Reader& r);
 
  private:
-  cep::EngineBase& engine_;
+  /// T_a bookkeeping shared by on_audit and on_audit_batch.
+  void note_access(const audit::AuditEvent& event);
+
+  cep::Engine& engine_;
   cep::QueryId file_query_;
   cep::QueryId block_query_;
   cep::QueryId node_query_;

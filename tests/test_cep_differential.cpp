@@ -1,10 +1,10 @@
-// Differential tests for the rebuilt audit ingest pipeline: the compiled
-// fast path, the slotted event representation and the ShardedEngine must all
-// produce byte-identical snapshots to the scalar ClassAd path. Workloads are
-// randomized (fixed seeds) over every aggregate kind, time and length
-// windows, group churn and eviction. Numeric attribute values are integers
-// so sums are exact in double arithmetic — cross-shard merge order must not
-// be able to change a correct result.
+// Differential tests for the audit ingest pipeline: the compiled WHERE fast
+// path and the slotted event representation must produce byte-identical
+// snapshots to the ClassAd path, and a brute-force recount guards against
+// both being identically wrong. Workloads are randomized (fixed seeds) over
+// every aggregate kind, time and length windows, group churn and eviction.
+// Numeric attribute values are integers so sums are exact in double
+// arithmetic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "audit/audit.h"
 #include "cep/engine.h"
 #include "cep/epl_parser.h"
-#include "cep/sharded_engine.h"
 
 namespace erms::cep {
 namespace {
@@ -77,7 +76,7 @@ std::vector<std::string> time_window_queries() {
   };
 }
 
-std::vector<QueryId> register_all(EngineBase& engine, const std::vector<std::string>& epl) {
+std::vector<QueryId> register_all(Engine& engine, const std::vector<std::string>& epl) {
   std::vector<QueryId> ids;
   ids.reserve(epl.size());
   for (const std::string& q : epl) {
@@ -89,7 +88,7 @@ std::vector<QueryId> register_all(EngineBase& engine, const std::vector<std::str
 /// Push the same events through both engines, comparing every query's
 /// snapshot at periodic checkpoints and after a final advance past the
 /// longest window.
-void run_differential(EngineBase& reference, EngineBase& candidate,
+void run_differential(Engine& reference, Engine& candidate,
                       const std::vector<Event>& events,
                       const std::vector<std::string>& epl, int checkpoint_every,
                       bool expect_drain = true) {
@@ -102,8 +101,7 @@ void run_differential(EngineBase& reference, EngineBase& candidate,
     candidate.push(e);
     if (++since_check >= checkpoint_every) {
       since_check = 0;
-      // Align both engines' notion of "now" before reading (the sharded
-      // engine drains and advances its shards on read).
+      // Align both engines' notion of "now" before reading.
       reference.advance_to(e.time);
       candidate.advance_to(e.time);
       for (std::size_t q = 0; q < ref_ids.size(); ++q) {
@@ -139,66 +137,39 @@ TEST(CepDifferential, CompiledFastPathMatchesClassAdPath) {
   }
 }
 
-TEST(CepDifferential, ShardedMatchesScalarAcrossShardCounts) {
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    for (const std::size_t batch : {32u, 256u}) {
-      Engine scalar;
-      ShardedEngineOptions opts;
-      opts.shards = shards;
-      opts.batch_events = batch;
-      ShardedEngine sharded(opts);
-      run_differential(scalar, sharded,
-                       make_workload(40 + static_cast<std::uint32_t>(shards), 4000, 50),
-                       time_window_queries(), 401);
-    }
-  }
-}
-
-TEST(CepDifferential, ShardedFallbackWherePathAlsoMatches) {
-  Engine scalar;
-  ShardedEngineOptions opts;
-  opts.shards = 4;
-  ShardedEngine sharded(opts);
-  sharded.set_use_fast_path(false);
-  run_differential(scalar, sharded, make_workload(77, 3000, 30), time_window_queries(), 499);
-}
-
-TEST(CepDifferential, LengthWindowsMatchAtOneShard) {
-  // LENGTH windows are shard-local by design; equivalence holds at 1 shard.
+TEST(CepDifferential, LengthWindowsFastPathMatchesClassAdPath) {
   const std::vector<std::string> epl = {
       "SELECT count(*) AS n, sum(bytes) AS s, min(bytes) AS mn, max(bytes) AS mx "
       "FROM audit WHERE cmd == \"read\" GROUP BY src WINDOW LENGTH 64",
       "SELECT count(*) AS n FROM audit GROUP BY dn WINDOW LENGTH 7",
   };
-  Engine scalar;
-  ShardedEngineOptions opts;
-  opts.shards = 1;
-  opts.batch_events = 64;
-  ShardedEngine sharded(opts);
-  run_differential(scalar, sharded, make_workload(11, 3000, 20), epl, 311,
+  Engine fallback;
+  fallback.set_use_fast_path(false);
+  Engine fast;
+  run_differential(fallback, fast, make_workload(11, 3000, 20), epl, 311,
                    /*expect_drain=*/false);
 }
 
 TEST(CepDifferential, GroupChurnAndEvictionUnderTinyWindow) {
   // 2s window + ~1ms..2s inter-arrival: groups constantly appear, empty out
-  // and get re-created, on both sides of the shard boundary.
+  // and get re-created, so freelisted slots and tombstoned buckets are reused.
   const std::vector<std::string> epl = {
-      "SELECT count(*) AS n, max(bytes) AS mx FROM audit GROUP BY src WINDOW TIME 2s",
-      "SELECT count(*) AS n, min(bytes) AS mn FROM audit GROUP BY src, dn WINDOW TIME 2s",
+      "SELECT count(*) AS n, max(bytes) AS mx FROM audit WHERE cmd != \"delete\" "
+      "GROUP BY src WINDOW TIME 2s",
+      "SELECT count(*) AS n, min(bytes) AS mn FROM audit WHERE cmd == \"read\" "
+      "GROUP BY src, dn WINDOW TIME 2s",
   };
   for (const std::uint32_t seed : {5u, 6u}) {
-    Engine scalar;
-    ShardedEngineOptions opts;
-    opts.shards = 4;
-    opts.batch_events = 16;
-    ShardedEngine sharded(opts);
-    run_differential(scalar, sharded, make_workload(seed, 5000, 500), epl, 199);
+    Engine fallback;
+    fallback.set_use_fast_path(false);
+    Engine fast;
+    run_differential(fallback, fast, make_workload(seed, 5000, 500), epl, 199);
   }
 }
 
 /// Brute-force oracle: recompute one query's windowed aggregates straight
 /// from the event list and compare against the engine. Guards against the
-/// reference engine and the candidates being identically wrong.
+/// fast path and the ClassAd path being identically wrong.
 TEST(CepOracle, ScalarEngineMatchesBruteForce) {
   const sim::SimDuration window = sim::seconds(12.0);
   Engine engine;
@@ -264,23 +235,20 @@ TEST(CepOracle, ScalarEngineMatchesBruteForce) {
   }
 }
 
-TEST(CepSharded, SlottedAuditPathMatchesClassAdEvents) {
+TEST(CepDifferential, SlottedAuditPathMatchesClassAdEvents) {
   // The feed's real ingest shape: AuditEvent::to_slotted into a reused
-  // event, versus the same records as ClassAd events into a scalar engine.
-  Engine scalar;
-  ShardedEngineOptions opts;
-  opts.shards = 4;
-  opts.batch_events = 64;
-  ShardedEngine sharded(opts);
+  // event, versus the same records as ClassAd events.
+  Engine classad_engine;
+  Engine slotted_engine;
   const std::vector<std::string> epl = {
       "SELECT count(*) AS n FROM audit WHERE cmd == \"open\" GROUP BY src WINDOW TIME 60s",
       "SELECT count(*) AS n FROM audit WHERE cmd == \"read\" GROUP BY src, blk WINDOW TIME 60s",
       "SELECT count(*) AS n FROM audit WHERE cmd == \"read\" GROUP BY dn WINDOW TIME 60s",
   };
-  const std::vector<QueryId> sids = register_all(scalar, epl);
-  const std::vector<QueryId> hids = register_all(sharded, epl);
-  const audit::AuditSlots slots =
-      audit::AuditSlots::resolve(sharded.attr_symbols(), sharded.stream_symbols());
+  const std::vector<QueryId> cids = register_all(classad_engine, epl);
+  const std::vector<QueryId> sids = register_all(slotted_engine, epl);
+  const audit::AuditSlots slots = audit::AuditSlots::resolve(
+      slotted_engine.attr_symbols(), slotted_engine.stream_symbols());
   SlottedEvent scratch;
   std::mt19937 rng{99};
   std::int64_t t_us = 0;
@@ -292,44 +260,18 @@ TEST(CepSharded, SlottedAuditPathMatchesClassAdEvents) {
     e.src = "/data/part-" + std::to_string(rng() % 40);
     e.block = static_cast<std::int64_t>(rng() % 200);
     e.datanode = static_cast<std::int64_t>(rng() % 16);
-    scalar.push(e.to_cep_event());
+    classad_engine.push(e.to_cep_event());
     e.to_slotted(slots, scratch);
-    sharded.push_slotted(scratch);
+    slotted_engine.push_slotted(scratch);
   }
   const sim::SimTime now{t_us};
-  scalar.advance_to(now);
-  sharded.advance_to(now);
+  classad_engine.advance_to(now);
+  slotted_engine.advance_to(now);
   for (std::size_t q = 0; q < epl.size(); ++q) {
-    EXPECT_EQ(render(scalar.snapshot(sids[q])), render(sharded.snapshot(hids[q])))
+    EXPECT_EQ(render(classad_engine.snapshot(cids[q])), render(slotted_engine.snapshot(sids[q])))
         << "query " << q;
   }
-  EXPECT_EQ(scalar.events_processed(), sharded.events_processed());
-}
-
-TEST(CepSharded, RegisterAndRemoveFanOut) {
-  ShardedEngineOptions opts;
-  opts.shards = 3;
-  ShardedEngine engine(opts);
-  const QueryId a = engine.register_query(
-      parse_epl("SELECT count(*) AS n FROM audit GROUP BY src WINDOW TIME 10s"));
-  const QueryId b = engine.register_query(
-      parse_epl("SELECT count(*) AS n FROM audit GROUP BY dn WINDOW TIME 10s"));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(engine.query_count(), 2u);
-  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
-    EXPECT_EQ(engine.shard(s).query_count(), 2u);
-  }
-  EXPECT_TRUE(engine.remove_query(a));
-  EXPECT_FALSE(engine.remove_query(a));
-  EXPECT_EQ(engine.query_count(), 1u);
-
-  Event e{sim::SimTime{1000}, "audit"};
-  e.with_string("src", "/x").with_int("dn", 3);
-  engine.push(e);
-  const auto rows = engine.snapshot(b);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].values.get_int("n"), 1);
-  EXPECT_TRUE(engine.snapshot(a).empty());
+  EXPECT_EQ(classad_engine.events_processed(), slotted_engine.events_processed());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "core/erms.h"
 #include "core/erms_placement.h"
@@ -264,6 +265,15 @@ void storm(Fixture& f, const std::string& path, double rate, double duration_s,
                       [&f, client, id] {
                         f.cluster->read_file(client, id, [](const hdfs::ReadOutcome&) {});
                       });
+  }
+}
+
+TEST(ErmsManager, RejectsJudgeShardsOtherThanOne) {
+  Fixture f;
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
+    ErmsConfig cfg;
+    cfg.judge_shards = shards;
+    EXPECT_THROW((ErmsManager{*f.cluster, f.pool, cfg}), std::invalid_argument);
   }
 }
 

@@ -2,65 +2,10 @@
 
 #include "metrics/cdf.h"
 #include "metrics/histogram.h"
-#include "metrics/stats.h"
 #include "metrics/timeseries.h"
 
 namespace erms::metrics {
 namespace {
-
-TEST(StatsSummary, EmptyIsZero) {
-  StatsSummary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(StatsSummary, MeanMinMaxSum) {
-  StatsSummary s;
-  for (const double v : {4.0, 2.0, 8.0, 6.0}) {
-    s.add(v);
-  }
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 8.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 20.0);
-}
-
-TEST(StatsSummary, SampleVariance) {
-  StatsSummary s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(v);
-  }
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(s.stddev() * s.stddev(), s.variance(), 1e-12);
-}
-
-TEST(StatsSummary, SingleValue) {
-  StatsSummary s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Percentile, BasicQuartiles) {
-  PercentileTracker p;
-  for (int i = 1; i <= 100; ++i) {
-    p.add(i);
-  }
-  EXPECT_NEAR(p.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(p.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(p.percentile(50), 50.5, 1e-9);
-}
-
-TEST(Percentile, AddAfterQueryResorts) {
-  PercentileTracker p;
-  p.add(1.0);
-  p.add(3.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 3.0);
-  p.add(10.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 10.0);
-}
 
 TEST(Histogram, BucketsAndBounds) {
   Histogram h(0.0, 10.0, 5);

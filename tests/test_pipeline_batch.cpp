@@ -1,6 +1,5 @@
 // Coverage for the batched audit replay path: on_audit_batch must tell a
-// byte-identical story to per-event on_audit for any batch size and engine
-// shape, the cluster's batched audit sink must deliver the same records the
+// byte-identical story to per-event on_audit for any batch size, the cluster's batched audit sink must deliver the same records the
 // per-event sink does, and the steady-state batch loop must not allocate.
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 
 #include "audit/audit.h"
 #include "cep/engine.h"
-#include "cep/sharded_engine.h"
 #include "hdfs/cluster.h"
 #include "judge/feed.h"
 #include "util/bytes.h"
@@ -105,8 +103,7 @@ std::string feed_story(const judge::AccessStatsFeed& feed) {
 /// Replay `events` per-event into one feed and in `batch_size` chunks into
 /// another, comparing the full story at several mid-stream checkpoints (so
 /// window eviction is exercised mid-churn, not just at the end).
-void check_batch_matches_per_event(cep::EngineBase& event_engine,
-                                   cep::EngineBase& batch_engine,
+void check_batch_matches_per_event(cep::Engine& event_engine, cep::Engine& batch_engine,
                                    std::size_t batch_size) {
   const sim::SimDuration window = sim::seconds(30.0);
   judge::AccessStatsFeed event_feed{event_engine, window};
@@ -145,21 +142,6 @@ TEST(PipelineBatch, BatchSizesMatchPerEventOnScalarEngine) {
     cep::Engine batch_engine;
     check_batch_matches_per_event(event_engine, batch_engine, batch_size);
   }
-}
-
-TEST(PipelineBatch, BatchSizesMatchPerEventOnShardedEngine) {
-  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-    SCOPED_TRACE("batch_size " + std::to_string(batch_size));
-    cep::ShardedEngine event_engine{{.shards = 3}};
-    cep::ShardedEngine batch_engine{{.shards = 3}};
-    check_batch_matches_per_event(event_engine, batch_engine, batch_size);
-  }
-}
-
-TEST(PipelineBatch, BatchedScalarMatchesBatchedSharded) {
-  cep::Engine scalar;
-  cep::ShardedEngine sharded{{.shards = 4}};
-  check_batch_matches_per_event(scalar, sharded, 4096);
 }
 
 // ---- cluster batched audit sink ---------------------------------------------

@@ -1,10 +1,10 @@
 // Differential suite for the interned/sharded metadata path: sharding the
-// namespace (lock granularity) or the judge's CEP engine (push parallelism)
-// must never change observable behaviour. Every shard configuration has to
-// tell the byte-identical story on the same chaos seed — same action-trace
-// JSONL, same invariant report, same per-file replica footprint — and the
-// feed's windowed counts must match a brute-force recount of the raw audit
-// stream.
+// namespace (lock granularity), batching audit delivery or threading the
+// judge's sweeps must never change observable behaviour. Every configuration
+// has to tell the byte-identical story on the same chaos seed — same
+// action-trace JSONL, same invariant report, same per-file replica
+// footprint — and the feed's windowed counts must match a brute-force
+// recount of the raw audit stream.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cep/engine.h"
-#include "cep/sharded_engine.h"
 #include "core/erms.h"
 #include "fault/fault_plan.h"
 #include "fault/invariant_checker.h"
@@ -39,8 +38,7 @@ struct RunResult {
 /// One full chaos run at the given shard / batch / thread configuration.
 /// Everything else — seed, workload, fault plan, thresholds — is held fixed.
 RunResult run_scenario(std::uint64_t seed, std::size_t namespace_shards,
-                       std::size_t judge_shards, std::size_t batch_flush = 0,
-                       std::size_t sweep_threads = 1) {
+                       std::size_t batch_flush = 0, std::size_t sweep_threads = 1) {
   sim::Simulation sim;
   Topology topo = Topology::uniform(3, 6);
   ClusterConfig ccfg;
@@ -57,7 +55,6 @@ RunResult run_scenario(std::uint64_t seed, std::size_t namespace_shards,
   ecfg.evaluation_period = sim::seconds(20.0);
   ecfg.observe = true;
   ecfg.trace_capacity = 65536;
-  ecfg.judge_shards = judge_shards;
   ecfg.judge_batch_flush_events = batch_flush;
   ecfg.sweep_threads = sweep_threads;
   core::ErmsManager erms{cluster, pool, ecfg};
@@ -126,20 +123,15 @@ RunResult run_scenario(std::uint64_t seed, std::size_t namespace_shards,
 
 TEST(ScaleDifferential, ShardConfigsAreByteIdentical) {
   const std::uint64_t seeds[] = {7, 11, 23};
-  struct Config {
-    std::size_t namespace_shards;
-    std::size_t judge_shards;
-  };
-  const Config variants[] = {{4, 1}, {1, 4}, {8, 3}};
+  const std::size_t variants[] = {4, 8};
   for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const RunResult base = run_scenario(seed, 1, 1);
+    const RunResult base = run_scenario(seed, 1);
     EXPECT_TRUE(base.ok) << base.report;
     EXPECT_FALSE(base.trace.empty());
-    for (const Config& v : variants) {
-      SCOPED_TRACE("namespace_shards=" + std::to_string(v.namespace_shards) +
-                   " judge_shards=" + std::to_string(v.judge_shards));
-      const RunResult got = run_scenario(seed, v.namespace_shards, v.judge_shards);
+    for (const std::size_t namespace_shards : variants) {
+      SCOPED_TRACE("namespace_shards=" + std::to_string(namespace_shards));
+      const RunResult got = run_scenario(seed, namespace_shards);
       EXPECT_EQ(got.trace, base.trace);
       EXPECT_EQ(got.report, base.report);
       EXPECT_EQ(got.replicas, base.replicas);
@@ -160,14 +152,14 @@ TEST(ScaleDifferential, BatchAndSweepConfigsAreByteIdentical) {
   const Config variants[] = {{1, 1}, {7, 4}, {4096, 8}, {256, 3}};
   for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const RunResult base = run_scenario(seed, 1, 1);
+    const RunResult base = run_scenario(seed, 1);
     EXPECT_TRUE(base.ok) << base.report;
     EXPECT_FALSE(base.trace.empty());
     for (const Config& v : variants) {
       SCOPED_TRACE("batch_flush=" + std::to_string(v.batch_flush) +
                    " sweep_threads=" + std::to_string(v.sweep_threads));
       const RunResult got =
-          run_scenario(seed, 1, 1, v.batch_flush, v.sweep_threads);
+          run_scenario(seed, 1, v.batch_flush, v.sweep_threads);
       EXPECT_EQ(got.trace, base.trace);
       EXPECT_EQ(got.report, base.report);
       EXPECT_EQ(got.replicas, base.replicas);
@@ -176,13 +168,13 @@ TEST(ScaleDifferential, BatchAndSweepConfigsAreByteIdentical) {
   }
 }
 
-// Batching, sweeping and sharding compose: the full stack enabled at once
-// still matches the plain baseline.
+// Batching, sweeping and namespace sharding compose: the full stack enabled
+// at once still matches the plain baseline.
 TEST(ScaleDifferential, CombinedShardBatchSweepIsByteIdentical) {
   for (const std::uint64_t seed : {7ull, 23ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const RunResult base = run_scenario(seed, 1, 1);
-    const RunResult got = run_scenario(seed, 4, 3, 7, 4);
+    const RunResult base = run_scenario(seed, 1);
+    const RunResult got = run_scenario(seed, 4, 7, 4);
     EXPECT_EQ(got.trace, base.trace);
     EXPECT_EQ(got.report, base.report);
     EXPECT_EQ(got.replicas, base.replicas);
@@ -224,7 +216,7 @@ std::vector<audit::AuditEvent> scripted_stream() {
 
 /// Replays the script into a feed over `engine`, then compares every windowed
 /// count against a brute-force recount of the raw events.
-void check_feed_against_oracle(cep::EngineBase& engine) {
+void check_feed_against_oracle(cep::Engine& engine) {
   const sim::SimDuration window = sim::seconds(30.0);
   judge::AccessStatsFeed feed{engine, window};
   const std::vector<audit::AuditEvent> events = scripted_stream();
@@ -295,15 +287,6 @@ void check_feed_against_oracle(cep::EngineBase& engine) {
 
 TEST(ScaleDifferential, ScalarFeedMatchesBruteForceRecount) {
   cep::Engine engine;
-  check_feed_against_oracle(engine);
-}
-
-TEST(ScaleDifferential, ShardedFeedMatchesBruteForceRecount) {
-  cep::ShardedEngineOptions opts;
-  opts.shards = 4;
-  opts.batch_events = 64;
-  opts.route_by = "fid";
-  cep::ShardedEngine engine{opts};
   check_feed_against_oracle(engine);
 }
 
